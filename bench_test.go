@@ -1,5 +1,5 @@
-// Benchmarks regenerating every figure of the paper's evaluation, plus the
-// ablation benches called out in DESIGN.md §5. Figure benches run the full
+// Benchmarks regenerating every figure of the paper's evaluation, plus two
+// ablations (K-NN width, DES-only training). Figure benches run the full
 // pipeline (model-based fit, DQN training, actor-critic training, DES
 // deployment curves) at the Quick fidelity; use cmd/reprobench for
 // paper-fidelity numbers.
@@ -126,7 +126,7 @@ func BenchmarkHeadline(b *testing.B) {
 	}
 }
 
-// BenchmarkKNNAblation is the K-NN ablation of DESIGN.md §5: train the
+// BenchmarkKNNAblation is the K-NN ablation: train the
 // actor-critic agent with K ∈ {1, 4, 8, 16} critic candidates on the small
 // continuous-queries system and report the trained solution's simulated
 // latency. K = 1 is pure proto-action rounding; the paper's claim is that
@@ -160,7 +160,7 @@ func BenchmarkKNNAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainOnDES is the transfer ablation of DESIGN.md §5: train the
+// BenchmarkTrainOnDES is the transfer ablation: train the
 // actor-critic agent directly against the discrete-event simulator (no
 // analytic shortcut) at small scale and report the trained solution's
 // quality — validating that the analytic training environment is a faithful

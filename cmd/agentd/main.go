@@ -59,7 +59,6 @@ func main() {
 		sessions = flag.Int("max-sessions", 4096, "max concurrent scheduler sessions")
 		shards   = flag.Int("accept-shards", 0, "accept-loop goroutines sharing the listener (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 1024, "per-model pending inference queue depth")
-		window   = flag.Duration("batch-window", 200*time.Microsecond, "micro-batch gather window (negative disables coalescing)")
 		maxBatch = flag.Int("max-batch", 64, "max inference micro-batch size (1 = per-request)")
 		idle     = flag.Duration("idle-timeout", 2*time.Minute, "per-session idle timeout")
 		k        = flag.Int("k", 8, "K-NN candidates scored by the critic")
@@ -92,7 +91,6 @@ func main() {
 		MaxSessions:     *sessions,
 		AcceptShards:    *shards,
 		QueueDepth:      *queue,
-		BatchWindow:     *window,
 		MaxBatch:        *maxBatch,
 		IdleTimeout:     *idle,
 		K:               *k,

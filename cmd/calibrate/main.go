@@ -1,7 +1,7 @@
 // Command calibrate probes the consolidation/latency trade-off of the
 // simulated systems and the quality of each scheduling method against it —
-// the tool used to calibrate the reproduction's cost constants (DESIGN.md
-// §5) and to sanity-check agent training.
+// the tool used to calibrate the reproduction's cost constants (the
+// defaults in sim.DefaultConfig) and to sanity-check agent training.
 package main
 
 import (

@@ -135,7 +135,7 @@ func run(opt options, out io.Writer) int {
 	}
 
 	var (
-		lat        serve.Histogram
+		lat        = make([][]time.Duration, opt.sessions)
 		epochs     atomic.Int64
 		drops      atomic.Int64
 		failures   atomic.Int64
@@ -172,7 +172,7 @@ func run(opt options, out io.Writer) int {
 				failures.Add(1)
 				return fmt.Errorf("session %d: %w", i, err)
 			}
-			lat.Observe(time.Since(t0))
+			lat[i] = append(lat[i], time.Since(t0))
 			epochs.Add(1)
 			meas.AvgTupleTimeMS = 30 + 40*rng.Float64()
 			if opt.think > 0 {
@@ -199,7 +199,8 @@ func run(opt options, out io.Writer) int {
 	fmt.Fprintf(out, "sessions:    %d (topology %dx%d/%d)\n", opt.sessions, opt.n, opt.m, opt.spouts)
 	fmt.Fprintf(out, "duration:    %v\n", elapsed.Round(time.Millisecond))
 	fmt.Fprintf(out, "requests:    %d (%.0f req/s sustained)\n", total, float64(total)/elapsed.Seconds())
-	fmt.Fprintf(out, "latency:     p50 %v  p99 %v  mean %v\n", lat.Quantile(0.5), lat.Quantile(0.99), lat.Mean())
+	p50, p99, mean := summarize(lat)
+	fmt.Fprintf(out, "latency:     p50 %v  p99 %v  mean %v\n", p50, p99, mean)
 	fmt.Fprintf(out, "retries:     %d (load-shed replies honored)\n", stats.Retries.Load())
 	fmt.Fprintf(out, "reconnects:  %d\n", stats.Reconnects.Load())
 	if opt.dropEvery > 0 {

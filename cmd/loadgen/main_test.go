@@ -103,3 +103,20 @@ func TestRunSessionDeathExitsNonZero(t *testing.T) {
 		t.Fatalf("loadgen exited zero although every session died mid-run:\n%s", out.String())
 	}
 }
+
+// TestLatencySummaryExact: the printed percentiles are order statistics of
+// the timed samples, not histogram bucket bounds (which would report
+// 65.536ms for the median of 1..100 ms).
+func TestLatencySummaryExact(t *testing.T) {
+	lat := make([][]time.Duration, 3)
+	for ms := 1; ms <= 100; ms++ {
+		lat[ms%3] = append(lat[ms%3], time.Duration(ms)*time.Millisecond)
+	}
+	p50, p99, mean := summarize(lat)
+	if p50 != 51*time.Millisecond || p99 != 100*time.Millisecond || mean != 50500*time.Microsecond {
+		t.Fatalf("summary = p50 %v p99 %v mean %v, want 51ms 100ms 50.5ms", p50, p99, mean)
+	}
+	if p50, p99, mean := summarize(make([][]time.Duration, 2)); p50 != 0 || p99 != 0 || mean != 0 {
+		t.Fatalf("empty summary = %v %v %v, want zeros", p50, p99, mean)
+	}
+}

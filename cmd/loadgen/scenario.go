@@ -69,7 +69,7 @@ func runScenario(opt options, out io.Writer) int {
 	}
 
 	var (
-		lat      serve.Histogram
+		lat      = make([][]time.Duration, len(runs))
 		failures atomic.Int64
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), wall)
@@ -97,7 +97,7 @@ func runScenario(opt options, out io.Writer) int {
 						failures.Add(1)
 						return fmt.Errorf("topology %s: %w", setups[i].Name, err)
 					}
-					lat.Observe(time.Since(t0))
+					lat[i] = append(lat[i], time.Since(t0))
 					tr.epochs.Add(1)
 					meas.AvgTupleTimeMS = 30 + 40*rng.Float64()
 					if opt.think > 0 {
@@ -136,7 +136,8 @@ func runScenario(opt options, out io.Writer) int {
 	fmt.Fprintf(out, "duration:    %v (%.0f simulated seconds)\n",
 		elapsed.Round(time.Millisecond), timeScale*elapsed.Seconds())
 	fmt.Fprintf(out, "requests:    %d (%.0f req/s sustained)\n", total, float64(total)/elapsed.Seconds())
-	fmt.Fprintf(out, "latency:     p50 %v  p99 %v  mean %v\n", lat.Quantile(0.5), lat.Quantile(0.99), lat.Mean())
+	p50, p99, mean := summarize(lat)
+	fmt.Fprintf(out, "latency:     p50 %v  p99 %v  mean %v\n", p50, p99, mean)
 	fmt.Fprintf(out, "retries:     %d (load-shed replies honored)\n", retries)
 	fmt.Fprintf(out, "reconnects:  %d\n", reconnects)
 	fmt.Fprintf(out, "errors:      %d\n", errCount+failures.Load())

@@ -191,7 +191,7 @@ func spearman(a, b []float64) float64 {
 
 // TestRankAgreementWithSimulator is the transfer-validity test: schedules
 // the analytic evaluator prefers must also be preferred by the DES, or
-// training on the analytic environment would not transfer (DESIGN.md §5.1).
+// training on the analytic environment would not transfer.
 func TestRankAgreementWithSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("DES comparison is slow")

@@ -8,7 +8,7 @@
 // 1.7–3.1 ms under the default scheduler). The paper's inputs that drove
 // these costs on real hardware — the in-memory vehicle table, IIS logs and
 // LogStash/Redis plumbing — are replaced by the synthetic generators in
-// internal/workload (see DESIGN.md §2).
+// internal/workload.
 package apps
 
 import (

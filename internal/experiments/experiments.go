@@ -66,7 +66,7 @@ type Config struct {
 }
 
 // Defaults returns paper-faithful settings (a full run takes tens of
-// minutes; see EXPERIMENTS.md).
+// minutes).
 func Defaults() Config {
 	return Config{
 		OfflineSamples: 10_000,
@@ -90,7 +90,7 @@ func Reduced() Config {
 }
 
 // Lite returns the smallest settings that still separate the schedulers,
-// sized for single-core machines (the recorded EXPERIMENTS.md run).
+// sized for single-core machines.
 func Lite() Config {
 	c := Defaults()
 	c.OfflineSamples = 600

@@ -190,12 +190,12 @@ func (m *model) installPublished() {
 	}
 }
 
-// run is the inference batch loop: block for the first pending request,
-// gather more for up to BatchWindow (or until MaxBatch), then serve the
-// whole micro-batch with one batched policy pass. Amortizing the actor and
-// critic GEMMs across sessions is what turns N concurrent sessions from N
-// GEMVs into one GEMM per window — the serving-path analogue of the
-// batched training step.
+// run is the inference batch loop. It is work-conserving: block for the
+// first pending request, take whatever else is already queued (up to
+// MaxBatch) without waiting, then serve the whole micro-batch with one
+// batched policy pass. Under load batches grow on their own, because
+// requests queue while the previous pass runs; an idle server never holds
+// a lone request back hoping for a partner.
 func (m *model) run(ctx context.Context) {
 	defer func() {
 		// The loop is exiting (shutdown or role teardown): wake waiters,
@@ -205,7 +205,7 @@ func (m *model) run(ctx context.Context) {
 		close(m.stopped)
 		m.failPending()
 	}()
-	cfg := m.srv.cfg
+	maxBatch := m.srv.cfg.MaxBatch
 	for {
 		if m.srv.testGate != nil {
 			select {
@@ -221,33 +221,15 @@ func (m *model) run(ctx context.Context) {
 			return
 		}
 		m.reqs = append(m.reqs[:0], first)
-
-		if cfg.MaxBatch > 1 && cfg.BatchWindow > 0 {
-			timer := time.NewTimer(cfg.BatchWindow)
-		gather:
-			for len(m.reqs) < cfg.MaxBatch {
-				select {
-				case r := <-m.queue:
-					m.reqs = append(m.reqs, r)
-				case <-timer.C:
-					break gather
-				case <-ctx.Done():
-					break gather
-				}
-			}
-			timer.Stop()
-		} else {
-			// No window: take whatever is already queued.
-			for len(m.reqs) < cfg.MaxBatch {
-				select {
-				case r := <-m.queue:
-					m.reqs = append(m.reqs, r)
-				default:
-					goto serve
-				}
+	gather:
+		for len(m.reqs) < maxBatch {
+			select {
+			case r := <-m.queue:
+				m.reqs = append(m.reqs, r)
+			default:
+				break gather
 			}
 		}
-	serve:
 		m.serveBatch(m.reqs)
 		if ctx.Err() != nil {
 			return

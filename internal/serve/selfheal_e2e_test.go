@@ -142,8 +142,12 @@ func TestRejoinGolden(t *testing.T) {
 	for epoch := 26; epoch <= 30; epoch++ {
 		stepAll(t, sB, clients, envs, &streams, epoch)
 	}
-	// Snapshots-applied count before the barrier snapshot: the rejoin
-	// resync already delivered one (the reset snapshot).
+	// Snapshots-applied count before the barrier snapshot. Rejoin returns
+	// before its resync lands, so first wait for the reset snapshot: counted
+	// late, it would pass for the barrier's below.
+	waitCond(t, "rejoined A to apply the reset snapshot", func() bool {
+		return sA2.reg.Counter("serve_repl_snapshots_applied_total").Value() >= 1
+	})
 	snapsBefore := sA2.reg.Counter("serve_repl_snapshots_applied_total").Value()
 	if err := sB.SnapshotNow(); err != nil {
 		t.Fatal(err)

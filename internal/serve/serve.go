@@ -39,11 +39,6 @@ type Config struct {
 	// (load shedding) so backpressure is visible to the scheduler rather
 	// than silently queueing without bound.
 	QueueDepth int
-	// BatchWindow is how long the batcher waits for more requests after
-	// the first one arrives (micro-batching); 0 takes the default and a
-	// negative value disables coalescing beyond whatever is already
-	// queued.
-	BatchWindow time.Duration
 	// MaxBatch caps the micro-batch size (1 forces per-request inference).
 	MaxBatch int
 	// IdleTimeout bounds how long a session may sit between measurements
@@ -157,7 +152,6 @@ func DefaultConfig() Config {
 	return Config{
 		MaxSessions:  4096,
 		QueueDepth:   1024,
-		BatchWindow:  200 * time.Microsecond,
 		MaxBatch:     64,
 		IdleTimeout:  2 * time.Minute,
 		WriteTimeout: 10 * time.Second,
@@ -189,9 +183,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = d.QueueDepth
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = d.BatchWindow
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = d.MaxBatch

@@ -19,7 +19,20 @@ import (
 // plus a shutdown func that asserts a clean drain.
 func startServer(t *testing.T, cfg Config) (*Server, string, func()) {
 	t.Helper()
+	return serveOn(t, New(cfg))
+}
+
+// startGatedServer is startServer with every batch loop held behind
+// testGate: each token sent on s.testGate lets one micro-batch through.
+func startGatedServer(t *testing.T, cfg Config) (*Server, string, func()) {
+	t.Helper()
 	s := New(cfg)
+	s.testGate = make(chan struct{})
+	return serveOn(t, s)
+}
+
+func serveOn(t *testing.T, s *Server) (*Server, string, func()) {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package sim is a discrete-event simulator of a Storm-like DSDPS: the
 // substrate that stands in for the paper's physical 11-node Storm cluster
-// (see DESIGN.md §2 for the substitution rationale).
+// (see the README introduction).
 //
 // The simulator executes a topology on a cluster under a thread→machine
 // assignment and reports the average end-to-end tuple processing time — the
@@ -73,7 +73,7 @@ type Config struct {
 }
 
 // DefaultConfig fills in the calibration constants used across the
-// reproduction (see DESIGN.md §5).
+// reproduction (fit with cmd/calibrate).
 func DefaultConfig(top *topology.Topology, cl *cluster.Cluster, arrivals map[string]workload.ArrivalProcess, seed int64) Config {
 	return Config{
 		Topology:         top,

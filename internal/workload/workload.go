@@ -7,7 +7,7 @@
 // service demands, and stream selectivities; the generators here reproduce
 // those distributions with synthetic content (the paper's actual inputs —
 // university IIS logs and the Project Gutenberg text of Alice's Adventures
-// in Wonderland — are replaced per the substitution rules in DESIGN.md §2).
+// in Wonderland — are not needed).
 package workload
 
 import (
