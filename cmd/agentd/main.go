@@ -69,7 +69,6 @@ func main() {
 		actorF   = flag.String("actor", "", "actor network checkpoint (cmd/train format)")
 		criticF  = flag.String("critic", "", "critic network checkpoint (cmd/train format)")
 
-		gemmW      = flag.Int("gemm-workers", 0, "workers the large inference/training GEMMs shard across (0 = pool default: one per CPU, 1 = no sharding)")
 		learn      = flag.Bool("learn", false, "learn online from session measurements (batched AC updates + atomic weight swaps)")
 		trainEvery = flag.Duration("train-interval", 100*time.Millisecond, "background trainer cadence (with -learn)")
 		trainBatch = flag.Int("train-batch", 32, "training mini-batch size (with -learn)")
@@ -102,7 +101,6 @@ func main() {
 		UpdatesPerRound: *updates,
 		CheckpointDir:   *ckptDir,
 		CheckpointEvery: *ckptEvery,
-		GemmWorkers:     *gemmW,
 		DataDir:         *dataDir,
 		FsyncInterval:   *fsyncInt,
 		SnapshotEvery:   *snapEvery,

@@ -427,46 +427,6 @@ func (s *Space) Nearest(proto []float64) []int {
 	return res[0]
 }
 
-// RelaxedRound implements the paper's fallback for very large cases: relax
-// the integrality constraint (the relaxed optimum of the row subproblem is a
-// simplex projection, whose mass concentrates on the largest entries) and
-// round randomly with probability proportional to the positive part of each
-// row. It trades exactness for O(N·M) time and is used in the scalability
-// ablation.
-func (s *Space) RelaxedRound(rng *rand.Rand, proto []float64) []int {
-	if len(proto) != s.Dim() {
-		panic("actionspace: RelaxedRound dimension mismatch")
-	}
-	assign := make([]int, s.N)
-	for i := 0; i < s.N; i++ {
-		row := proto[i*s.M : (i+1)*s.M]
-		var sum float64
-		for _, v := range row {
-			if v > 0 {
-				sum += v
-			}
-		}
-		if sum <= 0 {
-			assign[i] = rng.Intn(s.M)
-			continue
-		}
-		r := rng.Float64() * sum
-		acc := 0.0
-		assign[i] = s.M - 1
-		for j, v := range row {
-			if v <= 0 {
-				continue
-			}
-			acc += v
-			if r < acc {
-				assign[i] = j
-				break
-			}
-		}
-	}
-	return assign
-}
-
 // MoveAction is the DQN baseline's restricted action: reassign a single
 // thread to a machine (§3.2), giving |A| = N·M.
 type MoveAction struct {
@@ -480,10 +440,8 @@ func ApplyMove(assign []int, m MoveAction) []int {
 	return out
 }
 
-// MoveIndex maps a MoveAction to its flat index in [0, N·M).
-func (s *Space) MoveIndex(m MoveAction) int { return m.Thread*s.M + m.Machine }
-
-// MoveFromIndex inverts MoveIndex.
+// MoveFromIndex maps a flat index in [0, N·M) to its MoveAction
+// (index = Thread·M + Machine).
 func (s *Space) MoveFromIndex(idx int) MoveAction {
 	return MoveAction{Thread: idx / s.M, Machine: idx % s.M}
 }

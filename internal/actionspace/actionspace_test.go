@@ -269,66 +269,21 @@ func TestKNearestFirstIsOptimal(t *testing.T) {
 	}
 }
 
-func TestRelaxedRoundFeasibleAndBiased(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	s := NewSpace(3, 3)
-	proto := []float64{
-		0.9, 0.05, 0.05,
-		0.05, 0.9, 0.05,
-		-1, -1, 1,
-	}
-	counts := make([]int, 3)
-	for trial := 0; trial < 500; trial++ {
-		a := s.RelaxedRound(rng, proto)
-		if !s.Feasible(a) {
-			t.Fatalf("infeasible %v", a)
-		}
-		if a[0] == 0 {
-			counts[0]++
-		}
-		if a[1] == 1 {
-			counts[1]++
-		}
-		if a[2] == 2 {
-			counts[2]++
-		}
-	}
-	// Thread 2 has only one positive entry: must always pick machine 2.
-	if counts[2] != 500 {
-		t.Fatalf("thread 2 should deterministically pick machine 2, got %d/500", counts[2])
-	}
-	if counts[0] < 400 || counts[1] < 400 {
-		t.Fatalf("rounding not biased toward large entries: %v", counts)
-	}
-}
-
-func TestRelaxedRoundAllNegativeRowsFallsBackToUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	s := NewSpace(1, 4)
-	proto := []float64{-1, -2, -3, -4}
-	seen := map[int]bool{}
-	for i := 0; i < 200; i++ {
-		seen[s.RelaxedRound(rng, proto)[0]] = true
-	}
-	if len(seen) < 3 {
-		t.Fatalf("expected near-uniform fallback, saw machines %v", seen)
-	}
-}
-
 func TestMoveActionRoundTrip(t *testing.T) {
 	s := NewSpace(7, 5)
-	for th := 0; th < 7; th++ {
-		for m := 0; m < 5; m++ {
-			mv := MoveAction{Thread: th, Machine: m}
-			idx := s.MoveIndex(mv)
-			if idx < 0 || idx >= s.Dim() {
-				t.Fatalf("index %d out of range", idx)
-			}
-			back := s.MoveFromIndex(idx)
-			if back != mv {
-				t.Fatalf("round trip %v -> %d -> %v", mv, idx, back)
-			}
+	seen := map[MoveAction]bool{}
+	for idx := 0; idx < s.Dim(); idx++ {
+		mv := s.MoveFromIndex(idx)
+		if mv.Thread < 0 || mv.Thread >= 7 || mv.Machine < 0 || mv.Machine >= 5 {
+			t.Fatalf("index %d -> out-of-range move %v", idx, mv)
 		}
+		if back := mv.Thread*s.M + mv.Machine; back != idx {
+			t.Fatalf("round trip %d -> %v -> %d", idx, mv, back)
+		}
+		seen[mv] = true
+	}
+	if len(seen) != s.Dim() {
+		t.Fatalf("%d distinct moves from %d indices", len(seen), s.Dim())
 	}
 }
 

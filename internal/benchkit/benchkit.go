@@ -116,11 +116,8 @@ func Run(progress func(string)) (Report, error) {
 	add("nn/ForwardBatchInfer64", nil, benchInfer)
 
 	// End-to-end serving throughput over loopback TCP, 64 concurrent
-	// sessions, micro-batch GEMMs sharded across 1/2/4 workers.
-	for _, w := range []int{1, 2, 4} {
-		w := w
-		add(fmt.Sprintf("serve/Requests64Sessions_gemmworkers=%d", w), nil, func(b *testing.B) { benchServe(b, w) })
-	}
+	// sessions.
+	add("serve/Requests64Sessions", nil, benchServe)
 
 	// Shared-clock multi-topology stepping at steady state: one global
 	// event through the instance heap plus the owning simulator's event
@@ -270,9 +267,9 @@ func benchMultisim(b *testing.B, n int) {
 	}
 }
 
-func benchServe(b *testing.B, gemmWorkers int) {
+func benchServe(b *testing.B) {
 	const sessions = 64
-	s := serve.New(serve.Config{MaxBatch: 64, Seed: 1, GemmWorkers: gemmWorkers})
+	s := serve.New(serve.Config{MaxBatch: 64, Seed: 1})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

@@ -112,9 +112,6 @@ type Assignment struct {
 	MachineOf []int
 }
 
-// NewAssignment returns an assignment of n executors, all on machine 0.
-func NewAssignment(n int) *Assignment { return &Assignment{MachineOf: make([]int, n)} }
-
 // FromSlice wraps (copies) a machine-index slice.
 func FromSlice(machineOf []int) *Assignment {
 	return &Assignment{MachineOf: append([]int(nil), machineOf...)}
@@ -134,23 +131,6 @@ func (a *Assignment) Validate(c *Cluster) error {
 		}
 	}
 	return nil
-}
-
-// Diff returns the executor indices whose machine differs between a and
-// other. Deploying a new schedule reassigns only these executors (§3.1:
-// "only re-assigning those executors whose assignments are different from
-// before while keeping the rest untouched").
-func (a *Assignment) Diff(other *Assignment) []int {
-	if len(a.MachineOf) != len(other.MachineOf) {
-		panic(fmt.Sprintf("cluster: Diff size mismatch %d vs %d", len(a.MachineOf), len(other.MachineOf)))
-	}
-	var moved []int
-	for i := range a.MachineOf {
-		if a.MachineOf[i] != other.MachineOf[i] {
-			moved = append(moved, i)
-		}
-	}
-	return moved
 }
 
 // Counts returns the number of executors per machine.

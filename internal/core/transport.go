@@ -1,27 +1,17 @@
 package core
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net"
-	"sync"
 	"time"
 )
 
-// This file reproduces the control-plane plumbing of Figure 1: "A socket is
+// This file holds the control-plane messages of Figure 1: "A socket is
 // implemented for communications between the custom scheduler and the DRL
-// agent" (§3.1). The DRL agent runs as an external process and pushes
-// scheduling solutions over a socket; the custom scheduler (inside
-// Nimbus/the master) deploys them and replies with the measured average
-// tuple processing time and the current workload. Keeping the agent
-// external is what enables hot swapping of control algorithms without
-// shutting down the DSDPS.
-//
-// The wire protocol is newline-delimited JSON, one request/response pair
-// per decision epoch.
+// agent" (§3.1). The scheduler sends the measured average tuple processing
+// time and the current workload; the agent replies with a scheduling
+// solution. The serving daemon (internal/serve) speaks them over either
+// framing negotiated in wire.go.
 
 // SolutionMsg is the agent→scheduler message carrying a scheduling
 // solution.
@@ -95,76 +85,12 @@ type HelloMsg struct {
 	ReadOnly bool `json:"readonly,omitempty"`
 }
 
-// Deployer is the custom scheduler's view of the DSDPS: deploy a solution
-// (minimal-diff, §3.1) and measure after re-stabilization.
-type Deployer interface {
-	// Deploy installs the assignment on the cluster.
-	Deploy(assign []int) error
-	// Measure waits for stabilization and returns the average tuple
-	// processing time and the current per-spout workload.
-	Measure() (avgTupleMS float64, workload []float64)
-}
-
-// ServeScheduler accepts agent connections on l and serves them
-// concurrently — multiple agents (e.g. an A/B pair during a hot swap,
-// §3.1) can hold sessions at once, while each Deploy+Measure pair runs
-// under a lock so a session never measures another session's deployment.
-// Temporary accept errors (in practice: EMFILE and friends under load) are
-// retried with exponential backoff instead of tearing the server down; the
-// call returns nil when the listener closes, or the first fatal accept
-// error otherwise. On return every in-flight session has been unblocked
-// (its connection's deadlines fire immediately, so a session parked in a
-// read does not pin the shutdown) and drained.
-func ServeScheduler(l net.Listener, d Deployer) error {
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		cmu   sync.Mutex
-		conns = map[net.Conn]struct{}{}
-	)
-	// drain kicks every live connection out of blocking I/O and waits for
-	// its session goroutine; an in-flight Deploy+Measure finishes first
-	// (it does no socket I/O), then the reply write fails and the session
-	// exits.
-	drain := func() {
-		cmu.Lock()
-		for c := range conns {
-			_ = c.SetDeadline(time.Now())
-		}
-		cmu.Unlock()
-		wg.Wait()
-	}
-	defer drain()
-	for {
-		conn, err := AcceptRetry(l)
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		cmu.Lock()
-		conns[conn] = struct{}{}
-		cmu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				cmu.Lock()
-				delete(conns, conn)
-				cmu.Unlock()
-				conn.Close()
-			}()
-			handleSchedulerSession(conn, d, &mu)
-		}()
-	}
-}
-
 // AcceptRetry accepts the next connection, retrying temporary errors
 // (accept-queue conditions like EMFILE/ENFILE/ECONNABORTED) with
 // exponential backoff from 5ms up to 1s instead of tearing the server
 // down. The first fatal error — including net.ErrClosed when the listener
-// closes — is returned. Shared by ServeScheduler and internal/serve.
+// closes — is returned. The serving daemon and the fleet gateway accept
+// through it.
 func AcceptRetry(l net.Listener) (net.Conn, error) {
 	backoff := 5 * time.Millisecond
 	for {
@@ -182,149 +108,10 @@ func AcceptRetry(l net.Listener) (net.Conn, error) {
 	}
 }
 
-// ServeSchedulerSequential keeps the original one-connection-at-a-time
-// accept loop: sessions are served back-to-back on the calling goroutine,
-// so a Deployer that is not safe for concurrent use (the deterministic
-// figure pipeline's simulators) needs no locking and observes deployments
-// in a single total order.
-func ServeSchedulerSequential(l net.Listener, d Deployer) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		func() {
-			defer conn.Close()
-			HandleSchedulerSession(conn, d)
-		}()
-	}
-}
-
 // isTemporary reports whether an accept error is transient. net.Error's
 // Temporary is deprecated for general errors but remains the only signal
 // for accept-queue conditions like EMFILE/ENFILE/ECONNABORTED.
 func isTemporary(err error) bool {
 	var te interface{ Temporary() bool }
 	return errors.As(err, &te) && te.Temporary()
-}
-
-// HandleSchedulerSession runs the scheduler side of the protocol over any
-// stream (exposed separately so in-process pipes can be used in tests and
-// embeddings).
-func HandleSchedulerSession(rw io.ReadWriter, d Deployer) {
-	handleSchedulerSession(rw, d, nil)
-}
-
-// handleSchedulerSession services one agent session. When mu is non-nil
-// each Deploy+Measure pair is one critical section, so concurrent sessions
-// sharing a Deployer get attributable measurements (a session never
-// measures a solution another session deployed in between).
-func handleSchedulerSession(rw io.ReadWriter, d Deployer, mu *sync.Mutex) {
-	dec := json.NewDecoder(bufio.NewReader(rw))
-	enc := json.NewEncoder(rw)
-	for {
-		var msg SolutionMsg
-		if err := dec.Decode(&msg); err != nil {
-			return // connection closed or protocol error
-		}
-		var reply MeasurementMsg
-		if mu != nil {
-			mu.Lock()
-		}
-		if err := d.Deploy(msg.Assign); err != nil {
-			reply.Err = err.Error()
-		} else {
-			reply.AvgTupleTimeMS, reply.Workload = d.Measure()
-		}
-		if mu != nil {
-			mu.Unlock()
-		}
-		if err := enc.Encode(&reply); err != nil {
-			return
-		}
-	}
-}
-
-// AgentClient is the DRL agent's connection to the custom scheduler.
-type AgentClient struct {
-	conn io.ReadWriteCloser
-	dec  *json.Decoder
-	enc  *json.Encoder
-}
-
-// DialScheduler connects to a scheduler server at addr ("host:port").
-func DialScheduler(addr string) (*AgentClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("core: dial scheduler: %w", err)
-	}
-	return NewAgentClient(conn), nil
-}
-
-// NewAgentClient wraps an established stream as an agent session.
-func NewAgentClient(conn io.ReadWriteCloser) *AgentClient {
-	return &AgentClient{conn: conn, dec: json.NewDecoder(bufio.NewReader(conn)), enc: json.NewEncoder(conn)}
-}
-
-// Push deploys a scheduling solution and returns the measured reward inputs.
-func (c *AgentClient) Push(epoch int, assign []int) (avgTupleMS float64, workload []float64, err error) {
-	if err := c.enc.Encode(&SolutionMsg{Epoch: epoch, Assign: assign}); err != nil {
-		return 0, nil, fmt.Errorf("core: push solution: %w", err)
-	}
-	var reply MeasurementMsg
-	if err := c.dec.Decode(&reply); err != nil {
-		return 0, nil, fmt.Errorf("core: read measurement: %w", err)
-	}
-	if reply.Err != "" {
-		return 0, nil, fmt.Errorf("core: scheduler rejected solution: %s", reply.Err)
-	}
-	return reply.AvgTupleTimeMS, reply.Workload, nil
-}
-
-// Close terminates the session.
-func (c *AgentClient) Close() error { return c.conn.Close() }
-
-// RemoteEnvironment adapts an AgentClient to the env.Environment contract,
-// so a Controller can drive a DSDPS living in another process exactly like
-// a local one.
-type RemoteEnvironment struct {
-	Client   *AgentClient
-	NExec    int
-	MMachine int
-
-	epoch    int
-	lastWork []float64
-}
-
-// N implements env.Environment.
-func (r *RemoteEnvironment) N() int { return r.NExec }
-
-// M implements env.Environment.
-func (r *RemoteEnvironment) M() int { return r.MMachine }
-
-// Workload implements env.Environment, returning the workload reported by
-// the most recent measurement (zeros before the first deployment).
-func (r *RemoteEnvironment) Workload() []float64 {
-	if r.lastWork == nil {
-		return make([]float64, 1)
-	}
-	return r.lastWork
-}
-
-// AvgTupleTimeMS implements env.Environment by pushing the assignment over
-// the socket.
-func (r *RemoteEnvironment) AvgTupleTimeMS(assign []int) float64 {
-	r.epoch++
-	avg, work, err := r.Client.Push(r.epoch, assign)
-	if err != nil {
-		// A broken control channel looks like an unresponsive system.
-		return 0
-	}
-	if len(work) > 0 {
-		r.lastWork = work
-	}
-	return avg
 }

@@ -1,108 +1,133 @@
 package core
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
+	"reflect"
+	"strings"
 	"testing"
 )
 
-// simDeployer is a Deployer backed by the toy environment.
-type simDeployer struct {
-	env    *toyEnv
-	assign []int
-	fail   bool
-}
-
-func (d *simDeployer) Deploy(assign []int) error {
-	if d.fail {
-		return fmt.Errorf("deploy refused")
+// TestWireRoundTrip pins the NDJSON wire format: both message types must
+// survive encode→decode unchanged, including the error paths, and the
+// encoded form must be a single '\n'-terminated line (the framing the
+// serving daemon's line reader relies on).
+func TestWireRoundTrip(t *testing.T) {
+	sols := []SolutionMsg{
+		{Epoch: 7, Assign: []int{0, 2, 1, 2}},
+		{Epoch: 0, Assign: nil, Err: "no feasible solution"},
+		{Epoch: 3, Err: "retry: inference queue full", Retry: true},
 	}
-	if len(assign) != d.env.n {
-		return fmt.Errorf("bad assignment length %d", len(assign))
-	}
-	d.assign = append([]int(nil), assign...)
-	return nil
-}
-
-func (d *simDeployer) Measure() (float64, []float64) {
-	return d.env.AvgTupleTimeMS(d.assign), d.env.Workload()
-}
-
-func TestTransportOverTCP(t *testing.T) {
-	deployer := &simDeployer{env: newToy()}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- ServeScheduler(l, deployer) }()
-
-	client, err := DialScheduler(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign := []int{0, 0, 0, 1, 1, 1}
-	avg, work, err := client.Push(1, assign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := deployer.env.AvgTupleTimeMS(assign)
-	if avg != want {
-		t.Fatalf("measured %v want %v", avg, want)
-	}
-	if len(work) != 1 || work[0] != 100 {
-		t.Fatalf("workload %v", work)
-	}
-	// Multiple epochs over one session.
-	for epoch := 2; epoch < 5; epoch++ {
-		if _, _, err := client.Push(epoch, assign); err != nil {
+	for _, in := range sols {
+		blob, err := json.Marshal(in)
+		if err != nil {
 			t.Fatal(err)
 		}
+		var out SolutionMsg
+		if err := json.Unmarshal(blob, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(in, out) {
+			t.Fatalf("SolutionMsg round trip: %+v -> %s -> %+v", in, blob, out)
+		}
 	}
-	client.Close()
-	l.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("server error: %v", err)
-	}
-}
-
-func TestTransportDeployError(t *testing.T) {
-	deployer := &simDeployer{env: newToy(), fail: true}
-	server, client := net.Pipe()
-	go HandleSchedulerSession(server, deployer)
-	c := NewAgentClient(client)
-	defer c.Close()
-	if _, _, err := c.Push(1, []int{0, 0, 0, 0, 0, 0}); err == nil {
-		t.Fatal("expected deployment error")
-	}
-}
-
-// TestRemoteControllerLoop drives a full offline+online training loop over
-// the socket transport: the controller and agent live on one side, the
-// "cluster" on the other — the architecture of Figure 1.
-func TestRemoteControllerLoop(t *testing.T) {
-	deployer := &simDeployer{env: newToy()}
-	server, client := net.Pipe()
-	go HandleSchedulerSession(server, deployer)
-
-	remote := &RemoteEnvironment{Client: NewAgentClient(client), NExec: 6, MMachine: 3}
-	// Prime the workload cache with a first deployment.
-	rr := []int{0, 1, 2, 0, 1, 2}
-	if lat := remote.AvgTupleTimeMS(rr); lat <= 0 {
-		t.Fatalf("remote measurement %v", lat)
+	// Err/Retry must stay off the wire for plain solutions (old peers see
+	// the exact seed protocol).
+	if blob, _ := json.Marshal(sols[0]); strings.Contains(string(blob), "err") || strings.Contains(string(blob), "retry") {
+		t.Fatalf("plain solution leaked error fields: %s", blob)
 	}
 
-	cfg := DefaultACConfig()
-	cfg.Epsilon.Decay = 50
-	agent := NewActorCritic(6, 3, 1, cfg, 21)
-	ctrl := NewController(remote, agent)
-	if err := ctrl.CollectOffline(150); err != nil {
+	meas := []MeasurementMsg{
+		{AvgTupleTimeMS: 41.25, Workload: []float64{120, 80.5}},
+		{Err: "deploy refused"},
+	}
+	for _, in := range meas {
+		blob, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out MeasurementMsg
+		if err := json.Unmarshal(blob, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(in, out) {
+			t.Fatalf("MeasurementMsg round trip: %+v -> %s -> %+v", in, blob, out)
+		}
+	}
+
+	// One message per line, as produced by json.Encoder.
+	var sb strings.Builder
+	enc := json.NewEncoder(&sb)
+	if err := enc.Encode(&sols[0]); err != nil {
 		t.Fatal(err)
 	}
-	ctrl.OnlineLearn(150, nil)
-	got := deployer.env.AvgTupleTimeMS(ctrl.GreedySolution())
-	rrLat := deployer.env.AvgTupleTimeMS(rr)
-	if got >= rrLat {
-		t.Fatalf("remote-trained solution %.2f not better than round-robin %.2f", got, rrLat)
+	if got := sb.String(); strings.Count(got, "\n") != 1 || !strings.HasSuffix(got, "\n") {
+		t.Fatalf("encoded frame is not one line: %q", got)
 	}
+}
+
+// stubListener hands out a scripted sequence of accept results.
+type stubListener struct {
+	results []acceptResult
+}
+
+type acceptResult struct {
+	conn net.Conn
+	err  error
+}
+
+var errNoScriptedAccept = errors.New("stub listener: no scripted accept left")
+
+func (l *stubListener) Accept() (net.Conn, error) {
+	if len(l.results) == 0 {
+		return nil, errNoScriptedAccept
+	}
+	r := l.results[0]
+	l.results = l.results[1:]
+	return r.conn, r.err
+}
+func (l *stubListener) Close() error   { return nil }
+func (l *stubListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+type tempErr struct{}
+
+func (tempErr) Error() string   { return "accept: resource temporarily unavailable" }
+func (tempErr) Timeout() bool   { return false }
+func (tempErr) Temporary() bool { return true }
+
+// TestAcceptRetry pins the accept loop the serving daemon and the fleet
+// gateway share: transient accept failures are retried with backoff, any
+// other error — listener closure included — comes back unchanged.
+func TestAcceptRetry(t *testing.T) {
+	t.Run("temporary", func(t *testing.T) {
+		server, client := net.Pipe()
+		defer server.Close()
+		defer client.Close()
+		l := &stubListener{results: []acceptResult{{err: tempErr{}}, {err: tempErr{}}, {err: tempErr{}}, {conn: server}}}
+		conn, err := AcceptRetry(l)
+		if err != nil {
+			t.Fatalf("AcceptRetry after temporary errors: %v", err)
+		}
+		if conn != server {
+			t.Fatalf("AcceptRetry returned %v, want the connection after the temporary errors", conn)
+		}
+	})
+	t.Run("fatal", func(t *testing.T) {
+		boom := errors.New("accept: fatal")
+		l := &stubListener{results: []acceptResult{{err: boom}, {err: tempErr{}}}}
+		if _, err := AcceptRetry(l); err != boom {
+			t.Fatalf("err = %v, want the fatal accept error unchanged", err)
+		}
+		if len(l.results) != 1 {
+			t.Fatal("AcceptRetry kept accepting after a fatal error")
+		}
+	})
+	t.Run("closed", func(t *testing.T) {
+		l := &stubListener{results: []acceptResult{{err: fmt.Errorf("accept tcp: %w", net.ErrClosed)}}}
+		if _, err := AcceptRetry(l); !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("err = %v, want net.ErrClosed", err)
+		}
+	})
 }

@@ -289,9 +289,6 @@ func Open(dir string, cfg LogConfig) (*Log, *Recovered, error) {
 // SnapSeq returns the newest snapshot's sequence number (0 before any).
 func (l *Log) SnapSeq() uint64 { return l.snapSeq.Load() }
 
-// Dir returns the data directory this log writes.
-func (l *Log) Dir() string { return l.dir }
-
 // FlushedPos returns the durable stream position: everything at or before
 // it is flushed to the segment file and safe for a replication reader.
 func (l *Log) FlushedPos() Position {

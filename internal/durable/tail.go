@@ -138,12 +138,6 @@ func (t *Tailer) Retarget(addr string) {
 	t.connMu.Unlock()
 }
 
-// Pos returns the applied position (mirror segment/offset, lifetime
-// records).
-func (t *Tailer) Pos() Position {
-	return Position{Seg: t.seg, Off: t.off, Recs: t.applied.Load()}
-}
-
 // AppliedRecs returns the lifetime count of records this follower has
 // applied (snapshot bases included).
 func (t *Tailer) AppliedRecs() uint64 { return t.applied.Load() }

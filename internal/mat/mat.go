@@ -252,17 +252,6 @@ func (m *Matrix) Scale(s float64) {
 	}
 }
 
-// MaxAbs returns the largest absolute element value in m (0 for empty).
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 // Vector helpers ------------------------------------------------------------
 
 // Dot returns the inner product of a and b.
@@ -288,23 +277,6 @@ func ScaleVec(v []float64, s float64) {
 	}
 }
 
-// SumVec returns the sum of the elements of v.
-func SumVec(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// MeanVec returns the arithmetic mean of v (0 for empty input).
-func MeanVec(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return SumVec(v) / float64(len(v))
-}
-
 // Argmax returns the index of the largest element of v (-1 for empty input).
 // Ties resolve to the lowest index.
 func Argmax(v []float64) int {
@@ -320,29 +292,6 @@ func Argmax(v []float64) int {
 	return bi
 }
 
-// Argmin returns the index of the smallest element of v (-1 for empty input).
-func Argmin(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best, bi := v[0], 0
-	for i := 1; i < len(v); i++ {
-		if v[i] < best {
-			best, bi = v[i], i
-		}
-	}
-	return bi
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // SqDist returns the squared Euclidean distance between a and b.
 func SqDist(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -354,17 +303,6 @@ func SqDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// Clip bounds every element of v to [lo, hi] in place.
-func Clip(v []float64, lo, hi float64) {
-	for i, x := range v {
-		if x < lo {
-			v[i] = lo
-		} else if x > hi {
-			v[i] = hi
-		}
-	}
 }
 
 // Softmax writes the softmax of src into dst (numerically stable).

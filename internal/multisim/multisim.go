@@ -196,9 +196,6 @@ func (m *Multi) RunUntil(tMS float64) {
 	}
 }
 
-// Now returns the global simulation time in milliseconds.
-func (m *Multi) Now() float64 { return m.now }
-
 // EventsProcessed returns the total number of events processed across all
 // instances — a deterministic run signature (and the benchmark numerator).
 func (m *Multi) EventsProcessed() int64 { return m.events }

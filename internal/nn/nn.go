@@ -1,6 +1,6 @@
 // Package nn implements the small feedforward neural networks used by the
 // DRL agents: dense layers with tanh/relu/sigmoid/identity activations,
-// per-sample backpropagation, SGD/momentum/Adam optimizers, gradient
+// per-sample backpropagation, the Adam optimizer, gradient
 // clipping, deep cloning and soft (Polyak) target-network updates, and gob
 // serialization.
 //
@@ -312,15 +312,6 @@ func (n *Network) HardCopy(src *Network) {
 		l.W.CopyFrom(src.Layers[i].W)
 		copy(l.B, src.Layers[i].B)
 	}
-}
-
-// NumParams returns the total number of trainable scalars.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, l := range n.Layers {
-		total += len(l.W.Data) + len(l.B)
-	}
-	return total
 }
 
 // netState is the gob wire format for Network.

@@ -7,59 +7,6 @@ import (
 	"repro/internal/mat"
 )
 
-// Optimizer applies accumulated gradients to a network's weights.
-// Implementations must be used with exactly one network: they keep per-layer
-// moment state keyed by layer index.
-type Optimizer interface {
-	// Step applies the accumulated gradients of net (descending the loss)
-	// and leaves the gradient buffers untouched; callers typically follow
-	// with net.ZeroGrads().
-	Step(net *Network)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum and L2
-// weight decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	vw []*mat.Matrix
-	vb [][]float64
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step implements Optimizer.
-func (o *SGD) Step(net *Network) {
-	if o.vw == nil && o.Momentum != 0 {
-		for _, l := range net.Layers {
-			o.vw = append(o.vw, mat.NewMatrix(l.Out, l.In))
-			o.vb = append(o.vb, make([]float64, l.Out))
-		}
-	}
-	for li, l := range net.Layers {
-		if o.WeightDecay != 0 {
-			l.GradW.Axpy(l.W, o.WeightDecay)
-		}
-		if o.Momentum == 0 {
-			l.W.Axpy(l.GradW, -o.LR)
-			mat.AxpyVec(l.B, l.GradB, -o.LR)
-			continue
-		}
-		vw, vb := o.vw[li], o.vb[li]
-		for i, g := range l.GradW.Data {
-			vw.Data[i] = o.Momentum*vw.Data[i] + g
-			l.W.Data[i] -= o.LR * vw.Data[i]
-		}
-		for i, g := range l.GradB {
-			vb[i] = o.Momentum*vb[i] + g
-			l.B[i] -= o.LR * vb[i]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba 2015), the standard choice
 // for training DDPG-style actor-critic networks.
 type Adam struct {
@@ -143,7 +90,10 @@ func (o *Adam) SetState(s *AdamState, net *Network) error {
 	return nil
 }
 
-// Step implements Optimizer.
+// Step applies the accumulated gradients of net (descending the loss) and
+// leaves the gradient buffers untouched; callers typically follow with
+// net.ZeroGrads(). An Adam must be used with exactly one network: it keeps
+// per-layer moment state keyed by layer index.
 func (o *Adam) Step(net *Network) {
 	if o.mw == nil {
 		for _, l := range net.Layers {

@@ -86,15 +86,6 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	return ctx.Err()
 }
 
-// Run executes a fixed set of heterogeneous tasks on the bounded pool —
-// the convenience form of ForEach for "do these few independent things
-// concurrently" call sites.
-func Run(ctx context.Context, workers int, tasks ...func() error) error {
-	return ForEach(ctx, len(tasks), workers, func(_ context.Context, i int) error {
-		return tasks[i]()
-	})
-}
-
 // Map is ForEach with order-stable result assembly: out[i] is fn's result
 // for task i regardless of execution order, so parallel output is
 // indistinguishable from a sequential loop. On error the partial results

@@ -147,10 +147,3 @@ func (o *OUNoise) Sample(rng *rand.Rand, dst []float64) {
 		dst[i] = o.state[i]
 	}
 }
-
-// Reset returns the OU process to its mean.
-func (o *OUNoise) Reset() {
-	for i := range o.state {
-		o.state[i] = 0
-	}
-}

@@ -174,10 +174,6 @@ func TestOUNoiseMeanReversion(t *testing.T) {
 	if math.Abs(dst[0]) > 1 {
 		t.Fatalf("OU noise did not revert to mean: %v", dst[0])
 	}
-	o.Reset()
-	if o.state[0] != 0 {
-		t.Fatal("Reset failed")
-	}
 }
 
 func TestOUNoiseDimMismatchPanics(t *testing.T) {

@@ -111,16 +111,6 @@ func (s *ShardedReplay) AddRecovered(key string, seq uint64, t Transition) bool 
 	return true
 }
 
-// Seq returns key's current write sequence (0 for an unknown shard).
-func (s *ShardedReplay) Seq(key string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sh, ok := s.shards[key]; ok {
-		return sh.added
-	}
-	return 0
-}
-
 // Remove drops key's shard and all its transitions.
 func (s *ShardedReplay) Remove(key string) {
 	s.mu.Lock()

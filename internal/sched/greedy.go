@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/env"
@@ -26,13 +25,6 @@ type Greedy struct {
 	// discount per upstream executor already on a machine is
 	// Affinity·(SerializeMS+NetworkMS)/parallelism. Default 1.0.
 	Affinity float64
-
-	// LastScheduleNS and LastDecisions record the wall-clock cost of the
-	// most recent Schedule call — the tournament reports
-	// LastScheduleNS/LastDecisions as per-decision latency alongside
-	// solution quality.
-	LastScheduleNS int64
-	LastDecisions  int
 }
 
 // Name implements Scheduler.
@@ -40,7 +32,6 @@ func (*Greedy) Name() string { return "Greedy" }
 
 // Schedule implements Scheduler.
 func (g *Greedy) Schedule(e env.Environment) ([]int, error) {
-	start := time.Now()
 	top, cl := g.Top, g.Cl
 	n, m := e.N(), e.M()
 	if m <= 0 {
@@ -74,8 +65,8 @@ func (g *Greedy) Schedule(e env.Environment) ([]int, error) {
 		affinity = 1.0
 	}
 	assign := make([]int, n)
-	load := make([]float64, m)    // accumulated service demand (ms per tuple)
-	placed := make([][]int, m)    // per machine: executor count per component
+	load := make([]float64, m) // accumulated service demand (ms per tuple)
+	placed := make([][]int, m) // per machine: executor count per component
 	for mm := range placed {
 		placed[mm] = make([]int, nc)
 	}
@@ -101,16 +92,5 @@ func (g *Greedy) Schedule(e env.Environment) ([]int, error) {
 		load[best] += cost
 		placed[best][c]++
 	}
-	g.LastScheduleNS = time.Since(start).Nanoseconds()
-	g.LastDecisions = n
 	return assign, nil
-}
-
-// PerDecisionNS returns the mean wall-clock nanoseconds per executor
-// placement in the most recent Schedule call (0 before any call).
-func (g *Greedy) PerDecisionNS() int64 {
-	if g.LastDecisions == 0 {
-		return 0
-	}
-	return g.LastScheduleNS / int64(g.LastDecisions)
 }

@@ -32,12 +32,6 @@ func TestGreedyValidAndDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("greedy not deterministic: %v vs %v", a, b)
 	}
-	if g.LastScheduleNS <= 0 || g.LastDecisions != ev.N() {
-		t.Fatalf("decision-latency accounting missing: ns=%d decisions=%d", g.LastScheduleNS, g.LastDecisions)
-	}
-	if g.PerDecisionNS() < 0 {
-		t.Fatalf("per-decision latency %d", g.PerDecisionNS())
-	}
 }
 
 func TestGreedySpreadsLoad(t *testing.T) {

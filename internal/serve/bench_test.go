@@ -203,14 +203,3 @@ func BenchmarkInferenceBatched64Workers(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkServeGemmWorkers is the end-to-end variant: 64 concurrent
-// learning-free sessions against a daemon whose micro-batch GEMMs shard
-// across -gemm-workers.
-func BenchmarkServeGemmWorkers(b *testing.B) {
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchServer(b, Config{MaxBatch: 64, Seed: 1, GemmWorkers: w})
-		})
-	}
-}

@@ -138,13 +138,6 @@ type Config struct {
 	// session connection with a retry, and serves only after Promote()
 	// (the /promote endpoint). Requires DataDir.
 	ReplicateFrom string
-
-	// GemmWorkers bounds the worker pool that large inference and
-	// training GEMMs shard their row bands across (the 64-row micro-batch
-	// is shardable where per-request GEMVs are not). 0 takes the pool
-	// default (one worker per CPU); 1 forces single-goroutine GEMMs.
-	// Sharding is bitwise invariant, so this knob trades only latency.
-	GemmWorkers int
 }
 
 // DefaultConfig returns production defaults.
@@ -265,8 +258,9 @@ type Server struct {
 	// run on.
 	trainSem *parallel.Sem
 	// gemmSem is the pool that large per-model GEMMs (inference
-	// micro-batches, training passes) shard their row bands across; see
-	// Config.GemmWorkers.
+	// micro-batches, training passes) shard their row bands across: one
+	// worker per GOMAXPROCS. Sharding is bitwise invariant, so the pool
+	// size trades only latency; set GOMAXPROCS to use fewer cores.
 	gemmSem *parallel.Sem
 
 	mu     sync.Mutex
@@ -380,16 +374,12 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := NewRegistry()
-	gemmWorkers := cfg.GemmWorkers
-	if gemmWorkers <= 0 {
-		gemmWorkers = runtime.GOMAXPROCS(0)
-	}
 	s := &Server{
 		cfg:           cfg,
 		reg:           reg,
 		started:       time.Now(),
 		trainSem:      parallel.NewSem(runtime.GOMAXPROCS(0) - 1),
-		gemmSem:       parallel.NewSem(gemmWorkers - 1),
+		gemmSem:       parallel.NewSem(runtime.GOMAXPROCS(0) - 1),
 		models:        map[modelKey]*model{},
 		snapSums:      map[string][2]uint64{},
 		liveConns:     map[net.Conn]struct{}{},
@@ -465,9 +455,6 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
-
-// Registry exposes the server's metrics.
-func (s *Server) Registry() *Registry { return s.reg }
 
 // Preload creates (or returns) the model for a topology shape before any
 // session arrives, so trained weights can be installed on its policy. It

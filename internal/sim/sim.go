@@ -248,10 +248,6 @@ type Sim struct {
 	// Per-window accumulation.
 	winSum   []float64
 	winCount []int
-
-	// Diagnostics.
-	busySum     float64
-	busySamples int64
 }
 
 // New validates the configuration and builds a simulator. Executors start
@@ -443,8 +439,6 @@ func (s *Sim) serviceMS(exec int, tup tupleRef) float64 {
 	// runs proportionally slower.
 	s.updateBusy(e.machine, 0)
 	busyAvg := s.machines[e.machine].busyAvg
-	s.busySum += busyAvg
-	s.busySamples++
 	contention := 1.0
 	if busyAvg > float64(m.Cores) && !s.cfg.NoContention {
 		contention = busyAvg / float64(m.Cores)
@@ -721,13 +715,4 @@ func (s *Sim) updateBusy(m int, delta int) {
 		ms.lastChange = s.now
 	}
 	ms.busyCount += delta
-}
-
-// AvgBusySample reports the mean busy-level EWMA observed at service
-// dispatch since the start of the run (diagnostic).
-func (s *Sim) AvgBusySample() float64 {
-	if s.busySamples == 0 {
-		return 0
-	}
-	return s.busySum / float64(s.busySamples)
 }

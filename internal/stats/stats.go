@@ -130,15 +130,3 @@ func (r *Running) Mean() float64 {
 	}
 	return r.Sum / float64(r.N)
 }
-
-// TailMean returns the mean of the last k elements of v (the paper reports
-// "the average over the last 200 epochs" for reward curves).
-func TailMean(v []float64, k int) float64 {
-	if k > len(v) {
-		k = len(v)
-	}
-	if k <= 0 {
-		return 0
-	}
-	return Mean(v[len(v)-k:])
-}

@@ -146,16 +146,3 @@ func TestRunning(t *testing.T) {
 		t.Fatalf("running stats wrong: %+v mean=%v", r, r.Mean())
 	}
 }
-
-func TestTailMean(t *testing.T) {
-	v := []float64{1, 2, 3, 4}
-	if TailMean(v, 2) != 3.5 {
-		t.Fatalf("TailMean %v", TailMean(v, 2))
-	}
-	if TailMean(v, 10) != 2.5 {
-		t.Fatal("k>len should use whole slice")
-	}
-	if TailMean(v, 0) != 0 || TailMean(nil, 5) != 0 {
-		t.Fatal("degenerate cases")
-	}
-}

@@ -1,8 +1,8 @@
 // Package svr implements linear ε-insensitive Support Vector Regression
-// trained by stochastic gradient descent, plus ridge regression — the
-// learning machinery behind the model-based baseline scheduler of Li et
-// al. [25], which the paper compares against ("a supervised learning
-// method, Support Vector Regression", §1).
+// trained by stochastic gradient descent — the learning machinery behind
+// the model-based baseline scheduler of Li et al. [25], which the paper
+// compares against ("a supervised learning method, Support Vector
+// Regression", §1).
 package svr
 
 import (
@@ -128,79 +128,6 @@ func (m *SVR) Fit(rng *rand.Rand, X [][]float64, y []float64) error {
 
 // Predict returns the regression estimate for x.
 func (m *SVR) Predict(x []float64) float64 {
-	if m.W == nil {
-		return 0
-	}
-	xs := m.scaler.Apply(x)
-	pred := m.B
-	for j, w := range m.W {
-		pred += w * xs[j]
-	}
-	return pred
-}
-
-// Ridge is closed-form-free ridge regression trained by full-batch gradient
-// descent; a cheaper alternative predictor used in the model-based
-// scheduler ablation.
-type Ridge struct {
-	W      []float64
-	B      float64
-	Lambda float64
-	LR     float64
-	Epochs int
-
-	scaler *Scaler
-}
-
-// NewRidge returns a ridge regressor with regularization lambda.
-func NewRidge(lambda float64) *Ridge {
-	return &Ridge{Lambda: lambda, LR: 0.1, Epochs: 500}
-}
-
-// Fit trains on (X, y).
-func (m *Ridge) Fit(X [][]float64, y []float64) error {
-	if len(X) == 0 || len(X) != len(y) {
-		return fmt.Errorf("svr: ridge needs equal-length non-empty X (%d) and y (%d)", len(X), len(y))
-	}
-	d := len(X[0])
-	m.scaler = FitScaler(X)
-	Xs := make([][]float64, len(X))
-	for i, x := range X {
-		if len(x) != d {
-			return fmt.Errorf("svr: ragged feature row %d", i)
-		}
-		Xs[i] = m.scaler.Apply(x)
-	}
-	m.W = make([]float64, d)
-	m.B = 0
-	n := float64(len(Xs))
-	gw := make([]float64, d)
-	for epoch := 0; epoch < m.Epochs; epoch++ {
-		for j := range gw {
-			gw[j] = m.Lambda * m.W[j]
-		}
-		gb := 0.0
-		for i, x := range Xs {
-			pred := m.B
-			for j, w := range m.W {
-				pred += w * x[j]
-			}
-			e := (pred - y[i]) / n
-			for j := range gw {
-				gw[j] += e * x[j]
-			}
-			gb += e
-		}
-		for j := range m.W {
-			m.W[j] -= m.LR * gw[j]
-		}
-		m.B -= m.LR * gb
-	}
-	return nil
-}
-
-// Predict returns the regression estimate for x.
-func (m *Ridge) Predict(x []float64) float64 {
 	if m.W == nil {
 		return 0
 	}

@@ -101,38 +101,6 @@ func TestSVRErrors(t *testing.T) {
 	}
 }
 
-func TestRidgeFitsLinearFunction(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	X, y := linearData(rng, 300, 0.1)
-	m := NewRidge(0.01)
-	if err := m.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	Xt, yt := linearData(rng, 100, 0)
-	var mse float64
-	for i := range Xt {
-		d := m.Predict(Xt[i]) - yt[i]
-		mse += d * d
-	}
-	mse /= float64(len(Xt))
-	if mse > 0.5 {
-		t.Fatalf("ridge mse %v too high", mse)
-	}
-}
-
-func TestRidgeErrors(t *testing.T) {
-	m := NewRidge(0.1)
-	if err := m.Fit(nil, nil); err == nil {
-		t.Fatal("empty input should fail")
-	}
-	if err := m.Fit([][]float64{{1, 2}, {3}}, []float64{1, 2}); err == nil {
-		t.Fatal("ragged input should fail")
-	}
-	if m.Predict([]float64{1}) != 0 {
-		t.Fatal("untrained predict should be 0")
-	}
-}
-
 func TestSVRCannotCaptureInteraction(t *testing.T) {
 	// The paper's critique of the model-based approach: component-wise
 	// linear prediction misses interactions. A linear SVR trained on

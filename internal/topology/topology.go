@@ -97,17 +97,8 @@ type Topology struct {
 	ins    map[string][]Edge // edges grouped by destination component
 	order  []string          // topological order of component names
 
-	executors []Executor
-	execBase  map[string]int // component name -> first executor index
-}
-
-// Executor is one parallel task instance of a component, identified by a
-// global index in [0, N). The paper's scheduling unit ("thread") is exactly
-// this.
-type Executor struct {
-	Index int        // global executor index
-	Comp  *Component // owning component
-	Task  int        // instance number within the component, in [0, Parallelism)
+	numExecutors int
+	execBase     map[string]int // component name -> first executor index
 }
 
 // Builder accumulates components and edges and validates them into a
@@ -239,14 +230,11 @@ func (b *Builder) Build() (*Topology, error) {
 			return nil, fmt.Errorf("topology %q: component %q unreachable from any spout", t.Name, c.Name)
 		}
 	}
-	// Enumerate executors in component order.
-	idx := 0
+	// Number executors in component order: a component's tasks hold the
+	// global indices [execBase, execBase+Parallelism).
 	for _, c := range t.Components {
-		t.execBase[c.Name] = idx
-		for task := 0; task < c.Parallelism; task++ {
-			t.executors = append(t.executors, Executor{Index: idx, Comp: c, Task: task})
-			idx++
-		}
+		t.execBase[c.Name] = t.numExecutors
+		t.numExecutors += c.Parallelism
 	}
 	return t, nil
 }
@@ -301,11 +289,8 @@ func (t *Topology) In(name string) []Edge { return t.ins[name] }
 // Order returns component names in topological order.
 func (t *Topology) Order() []string { return t.order }
 
-// Executors returns all executors in global-index order.
-func (t *Topology) Executors() []Executor { return t.executors }
-
 // NumExecutors returns N, the number of schedulable threads.
-func (t *Topology) NumExecutors() int { return len(t.executors) }
+func (t *Topology) NumExecutors() int { return t.numExecutors }
 
 // ExecutorRange returns the global index range [lo, hi) of a component's
 // executors.
@@ -327,29 +312,4 @@ func (t *Topology) Spouts() []*Component {
 		}
 	}
 	return out
-}
-
-// Paths enumerates all spout-to-sink component paths (by name). Used by the
-// analytic evaluator's critical-path estimate. The count is small for the
-// paper's topologies (≤ 4).
-func (t *Topology) Paths() [][]string {
-	var paths [][]string
-	var walk func(name string, acc []string)
-	walk = func(name string, acc []string) {
-		acc = append(acc, name)
-		outs := t.outs[name]
-		if len(outs) == 0 {
-			paths = append(paths, append([]string(nil), acc...))
-			return
-		}
-		for _, e := range outs {
-			walk(e.To, acc)
-		}
-	}
-	for _, c := range t.Components {
-		if c.Kind == Spout {
-			walk(c.Name, nil)
-		}
-	}
-	return paths
 }

@@ -85,16 +85,6 @@ func (b BurstRate) RateAt(tMS float64) float64 {
 	return b.Base
 }
 
-// PoissonGaps draws successive inter-arrival gaps (ms) for a process whose
-// instantaneous rate comes from p. Rates ≤ 0 yield +Inf (no arrivals).
-func PoissonGaps(rng *rand.Rand, p ArrivalProcess, tMS float64) float64 {
-	r := p.RateAt(tMS)
-	if r <= 0 {
-		return math.Inf(1)
-	}
-	return rng.ExpFloat64() / r * 1000
-}
-
 // ---------------------------------------------------------------------------
 // Continuous queries: random vehicle-plate table + speeding queries (§4.1).
 

@@ -46,27 +46,6 @@ func TestSineRateBounds(t *testing.T) {
 	}
 }
 
-func TestPoissonGapsMeanMatchesRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	p := ConstantRate{PerSecond: 200}
-	var sum float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		sum += PoissonGaps(rng, p, 0)
-	}
-	mean := sum / n // expected 1000/200 = 5ms
-	if mean < 4.8 || mean > 5.2 {
-		t.Fatalf("mean gap %v want ~5ms", mean)
-	}
-}
-
-func TestPoissonGapsZeroRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	if !math.IsInf(PoissonGaps(rng, ConstantRate{PerSecond: 0}, 0), 1) {
-		t.Fatal("zero rate should yield +Inf gap")
-	}
-}
-
 func TestQueryGen(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := NewQueryGen(rng, 500)
