@@ -1,66 +1,134 @@
 package sim
 
-// eventQueue is a typed 4-ary min-heap of events ordered by (t, seq).
+// eventQueue is the simulator's priority queue of pending events, ordered
+// by (t, seq). It has two lanes:
 //
-// It replaces the previous container/heap implementation: pushing through
-// heap.Push(interface{}) boxes every event (one allocation per push on the
-// hottest path of the simulator), while the typed heap stores event values
-// in a reusable slice and allocates only on slice growth, which stops once
-// the simulation reaches its steady-state event population. The 4-ary shape
-// halves the tree depth of a binary heap; sift-down does a few more
-// comparisons per level but touches adjacent elements (one cache line),
-// which is a net win for the wide, shallow heaps a DES produces.
+//   - a 4-ary min-heap for events pushed in arbitrary time order. The heap
+//     moves compact 24-byte keys {t, seq, slot}; each event's payload sits
+//     in a slab slot that a free list recycles, so sifting never copies
+//     whole events. Sifts move a hole rather than swapping pairs.
+//   - a FIFO ring (pushFIFO) for events that arrive already sorted. Every
+//     ack-timeout check is due at now+ackTimeoutMS; now never decreases,
+//     IEEE addition is monotone and seq only grows, so those events are
+//     pushed in (t, seq) order and the ring's head is always its minimum.
+//     They are the bulk of the pending set under a 10 s timeout, and the
+//     ring holds them at O(1) per push and pop instead of deepening the
+//     heap. A pushFIFO that would order before the ring's tail falls back
+//     to the heap, so the queue stays correct whether or not its caller
+//     keeps the invariant.
 //
-// (t, seq) is a total order — seq is unique per event — so the pop sequence
-// is completely determined by the pushed events and is byte-for-byte
-// identical to what any other correct priority queue would produce.
+// (t, seq) is a total order — seq is unique per event — so pop returns
+// the smaller of the two lane minima, and the pop sequence is exactly the
+// one any single correct priority queue over the same pushes would give
+// (eventqueue_test.go checks it against container/heap).
 type eventQueue struct {
-	ev []event
+	keys []eventKey // 4-ary heap
+	slab []event    // heap payloads, indexed by eventKey.slot
+	free []int32    // unused slab slots
+
+	fifo ring[event] // sorted lane
 }
 
-// less orders events by time, then by push sequence for determinism.
-func eventLess(a, b *event) bool {
-	if a.t != b.t {
-		return a.t < b.t
+// eventKey is a heap entry: an event's ordering key and its slab slot.
+type eventKey struct {
+	t    float64
+	seq  int64
+	slot int32
+}
+
+// before orders events by time, then by push sequence for determinism.
+func before(t1 float64, seq1 int64, t2 float64, seq2 int64) bool {
+	if t1 != t2 {
+		return t1 < t2
 	}
-	return a.seq < b.seq
+	return seq1 < seq2
 }
 
-func (q *eventQueue) len() int { return len(q.ev) }
+func keyLess(a, b *eventKey) bool { return before(a.t, a.seq, b.t, b.seq) }
+
+func (q *eventQueue) len() int { return len(q.keys) + q.fifo.len() }
+
+// fifoFirst reports whether the next event to pop is the FIFO lane's head.
+func (q *eventQueue) fifoFirst() bool {
+	if q.fifo.len() == 0 {
+		return false
+	}
+	if len(q.keys) == 0 {
+		return true
+	}
+	f, k := q.fifo.at(0), &q.keys[0]
+	return before(f.t, f.seq, k.t, k.seq)
+}
 
 // peekTime returns the earliest event time; the queue must be non-empty.
-func (q *eventQueue) peekTime() float64 { return q.ev[0].t }
-
-func (q *eventQueue) push(e event) {
-	q.ev = append(q.ev, e)
-	i := len(q.ev) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !eventLess(&q.ev[i], &q.ev[p]) {
-			break
-		}
-		q.ev[i], q.ev[p] = q.ev[p], q.ev[i]
-		i = p
+func (q *eventQueue) peekTime() float64 {
+	if q.fifoFirst() {
+		return q.fifo.at(0).t
 	}
+	return q.keys[0].t
 }
 
 func (q *eventQueue) pop() event {
-	top := q.ev[0]
-	last := len(q.ev) - 1
-	q.ev[0] = q.ev[last]
-	q.ev = q.ev[:last]
-	if last > 0 {
-		q.siftDown(0)
+	if q.fifoFirst() {
+		return q.fifo.popFront()
 	}
-	return top
+	top := q.keys[0]
+	last := len(q.keys) - 1
+	if last > 0 {
+		q.siftDown(q.keys[last])
+	}
+	q.keys = q.keys[:last]
+	q.free = append(q.free, top.slot)
+	return q.slab[top.slot]
 }
 
-func (q *eventQueue) siftDown(i int) {
-	n := len(q.ev)
+// pushFIFO queues an event expected to order after every event already in
+// the FIFO lane; one that does not goes to the heap.
+func (q *eventQueue) pushFIFO(e event) {
+	if n := q.fifo.len(); n > 0 {
+		if tail := q.fifo.at(n - 1); before(e.t, e.seq, tail.t, tail.seq) {
+			q.push(e)
+			return
+		}
+	}
+	q.fifo.pushBack(e)
+}
+
+// push queues an event on the heap.
+func (q *eventQueue) push(e event) {
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[slot] = e
+	} else {
+		slot = int32(len(q.slab))
+		q.slab = append(q.slab, e)
+	}
+	k := eventKey{t: e.t, seq: e.seq, slot: slot}
+	q.keys = append(q.keys, k)
+	i := len(q.keys) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !keyLess(&k, &q.keys[p]) {
+			break
+		}
+		q.keys[i] = q.keys[p]
+		i = p
+	}
+	q.keys[i] = k
+}
+
+// siftDown fills the hole the popped root leaves with k, the heap's last
+// key, moving smaller children up until k fits. The caller then drops the
+// last position, so the search stops one short of it.
+func (q *eventQueue) siftDown(k eventKey) {
+	n := len(q.keys) - 1
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return
+			break
 		}
 		min := first
 		end := first + 4
@@ -68,14 +136,15 @@ func (q *eventQueue) siftDown(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if eventLess(&q.ev[c], &q.ev[min]) {
+			if keyLess(&q.keys[c], &q.keys[min]) {
 				min = c
 			}
 		}
-		if !eventLess(&q.ev[min], &q.ev[i]) {
-			return
+		if !keyLess(&q.keys[min], &k) {
+			break
 		}
-		q.ev[i], q.ev[min] = q.ev[min], q.ev[i]
+		q.keys[i] = q.keys[min]
 		i = min
 	}
+	q.keys[i] = k
 }

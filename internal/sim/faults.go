@@ -52,7 +52,7 @@ func (s *Sim) ScheduleFailure(machine int, atMS, downMS float64) error {
 	}
 	// The event struct is reused unchanged: exec carries the machine index
 	// and tup.emitMS the outage duration (see the evFail case in step).
-	s.push(event{t: atMS, kind: evFail, exec: machine, tup: tupleRef{emitMS: downMS}})
+	s.push(event{t: atMS, kind: evFail, exec: int32(machine), tup: tupleRef{emitMS: downMS}})
 	return nil
 }
 
@@ -74,14 +74,14 @@ func (s *Sim) failMachine(machine int, downMS float64) {
 			continue
 		}
 		// Queued tuples are lost; their trees can no longer complete.
-		for _, tup := range e.queue[e.head:] {
-			s.orphanTuple(tup)
+		for i := 0; i < e.queue.len(); i++ {
+			s.orphanTuple(*e.queue.at(i))
 		}
-		e.qReset()
+		e.queue.reset()
 		if until > e.pausedUntil {
 			e.pausedUntil = until
 		}
-		s.push(event{t: until, kind: evResume, exec: i})
+		s.push(event{t: until, kind: evResume, exec: int32(i)})
 	}
 }
 
@@ -90,8 +90,8 @@ func (s *Sim) failMachine(machine int, downMS float64) {
 // deadline check replays the root; without them a fully-accounted failed
 // tree is dropped.
 func (s *Sim) orphanTuple(tup tupleRef) {
-	ack, ok := s.acks[tup.root]
-	if !ok {
+	ack := s.acks.get(tup.root)
+	if ack == nil {
 		return
 	}
 	ack.pending--
@@ -106,8 +106,8 @@ func (s *Sim) orphanTuple(tup tupleRef) {
 // failed) at its deadline is replayed at its spout executor; completed
 // roots have already left the ack table.
 func (s *Sim) checkAck(root int64, spoutExec, comp int) {
-	ack, ok := s.acks[root]
-	if !ok {
+	ack := s.acks.get(root)
+	if ack == nil {
 		return // completed in time
 	}
 	s.freeAck(root, ack)
@@ -119,12 +119,12 @@ func (s *Sim) replayRoot(spoutExec, comp int) {
 	s.replays++
 	root := s.nextRoot
 	s.nextRoot++
-	tup := tupleRef{root: root, comp: comp, key: s.rng.Uint64(), emitMS: s.now}
-	s.acks[root] = s.newAck(s.now)
+	tup := tupleRef{root: root, comp: int32(comp), key: s.rng.Uint64(), emitMS: s.now}
+	s.acks.put(root, s.newAck(s.now))
 	if s.ackTimeoutMS > 0 {
-		s.push(event{t: s.now + s.ackTimeoutMS, kind: evAckCheck, exec: spoutExec, tup: tupleRef{root: root, comp: comp}})
+		s.push(event{t: s.now + s.ackTimeoutMS, kind: evAckCheck, exec: int32(spoutExec), tup: tupleRef{root: root, comp: int32(comp)}})
 	}
-	s.execs[spoutExec].qPush(tup)
+	s.execs[spoutExec].queue.pushBack(tup)
 	s.tryStartService(spoutExec)
 }
 

@@ -52,8 +52,8 @@ func TestMachineFailureTriggersReplays(t *testing.T) {
 		t.Fatal("pipeline did not recover after machine failure")
 	}
 	// After recovery, in-flight set must not leak.
-	if len(s.acks) > 1000 {
-		t.Fatalf("%d ack entries outstanding after recovery", len(s.acks))
+	if s.Outstanding() > 1000 {
+		t.Fatalf("%d ack entries outstanding after recovery", s.Outstanding())
 	}
 }
 

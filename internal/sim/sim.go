@@ -101,73 +101,40 @@ const (
 
 type tupleRef struct {
 	root    int64   // root tuple id (ack tree)
-	comp    int     // component index the tuple is destined for / processed by
 	key     uint64  // fields-grouping key, inherited from the root
 	emitMS  float64 // root emission time
+	comp    int32   // component index the tuple is destined for / processed by
 	crossed bool    // arrived over the network (pays deserialization CPU)
 }
 
+// event indices are int32 and the kind a byte so that an event is 64
+// bytes: the compiler copies that inline, where the 80 bytes of int-wide
+// fields went through runtime.duffcopy on every push and pop.
 type event struct {
 	t    float64
-	kind int
-	exec int
+	seq  int64 // tiebreaker for determinism
 	tup  tupleRef
+	exec int32
 	// fromMachine is the transfer source for evArrive events that crossed
 	// the network (−1 otherwise); used to release the congestion counter.
-	fromMachine int
-	seq         int64 // tiebreaker for determinism
+	fromMachine int32
+	kind        uint8
 }
 
 type execState struct {
-	machine int
-	// queue is a FIFO ring: live tuples occupy queue[head:]. Popping
-	// advances head instead of reslicing, so the backing array is reused
-	// rather than "slid" off (which forced a reallocation on nearly every
-	// append cycle); see qPush/qPop.
-	queue       []tupleRef
-	head        int
+	machine     int
+	queue       ring[tupleRef] // tuples waiting for service, oldest first
 	busy        bool
 	serviceOn   int // machine the in-flight service started on (for busyCount)
 	pausedUntil float64
 	warmStart   float64 // when this executor last (re)started
 }
 
-// qLen returns the number of queued tuples.
-func (e *execState) qLen() int { return len(e.queue) - e.head }
-
-// qPush enqueues a tuple, compacting the drained prefix instead of growing
-// when the backing array still has dead capacity at the front.
-func (e *execState) qPush(tup tupleRef) {
-	if len(e.queue) == cap(e.queue) && e.head > 0 {
-		n := copy(e.queue, e.queue[e.head:])
-		e.queue = e.queue[:n]
-		e.head = 0
-	}
-	e.queue = append(e.queue, tup)
-}
-
-// qPop dequeues the head tuple; the queue must be non-empty.
-func (e *execState) qPop() tupleRef {
-	tup := e.queue[e.head]
-	e.head++
-	if e.head == len(e.queue) {
-		e.queue = e.queue[:0]
-		e.head = 0
-	}
-	return tup
-}
-
-// qReset drops all queued tuples.
-func (e *execState) qReset() {
-	e.queue = e.queue[:0]
-	e.head = 0
-}
-
 // route is one precomputed downstream edge of a component: everything
 // emitChildren needs per tuple, resolved from the topology maps once at
 // construction instead of per emission.
 type route struct {
-	dst      int // destination component index
+	dst      int32 // destination component index
 	grouping topology.Grouping
 	par      int    // destination parallelism
 	base     int    // first executor index of the destination
@@ -227,7 +194,7 @@ type Sim struct {
 	seq      int64
 	now      float64
 
-	acks map[int64]*ackState
+	acks ackTable
 	// ackFree is a free list of ackState records: root tuples are created
 	// and retired constantly, and recycling the records keeps the steady
 	// state of the hot loop allocation-free.
@@ -273,7 +240,6 @@ func New(cfg Config) (*Sim, error) {
 		top:  cfg.Topology,
 		cl:   cfg.Cluster,
 		cidx: map[string]int{},
-		acks: map[int64]*ackState{},
 	}
 	for i, c := range s.top.Components {
 		s.comps = append(s.comps, c)
@@ -289,7 +255,7 @@ func New(cfg Config) (*Sim, error) {
 		for _, edge := range s.outs[i] {
 			dst := s.cidx[edge.To]
 			s.routes[i] = append(s.routes[i], route{
-				dst:      dst,
+				dst:      int32(dst),
 				grouping: edge.Grouping,
 				par:      s.comps[dst].Parallelism,
 				base:     s.base[dst],
@@ -350,7 +316,7 @@ func (s *Sim) Deploy(assign []int) error {
 			e.machine = m
 			e.warmStart = s.now
 			e.pausedUntil = s.now + s.cfg.MoveOutageMS
-			s.push(event{t: e.pausedUntil, kind: evResume, exec: i})
+			s.push(event{t: e.pausedUntil, kind: evResume, exec: int32(i)})
 		}
 	}
 	if first {
@@ -371,7 +337,12 @@ func (s *Sim) push(ev event) {
 	}
 	ev.seq = s.seq
 	s.seq++
-	s.events.push(ev)
+	if ev.kind == evAckCheck {
+		// Always due at now+ackTimeoutMS, so pushed in (t, seq) order.
+		s.events.pushFIFO(ev)
+	} else {
+		s.events.push(ev)
+	}
 }
 
 // newAck takes an ackState from the free list (or allocates one) and
@@ -392,7 +363,7 @@ func (s *Sim) newAck(emitMS float64) *ackState {
 
 // freeAck retires a root tuple's ack record back to the free list.
 func (s *Sim) freeAck(root int64, a *ackState) {
-	delete(s.acks, root)
+	s.acks.remove(root)
 	s.ackFree = append(s.ackFree, a)
 }
 
@@ -408,11 +379,11 @@ func (s *Sim) scheduleNextEmit(exec, comp int) {
 	rate := s.perExecRate(comp, s.now)
 	if rate <= 0 {
 		// Re-poll for rate changes in a second.
-		s.push(event{t: s.now + 1000, kind: evSpoutEmit, exec: exec, tup: tupleRef{comp: comp}})
+		s.push(event{t: s.now + 1000, kind: evSpoutEmit, exec: int32(exec), tup: tupleRef{comp: int32(comp)}})
 		return
 	}
 	gap := s.rng.ExpFloat64() / rate * 1000
-	s.push(event{t: s.now + gap, kind: evSpoutEmit, exec: exec, tup: tupleRef{comp: comp}})
+	s.push(event{t: s.now + gap, kind: evSpoutEmit, exec: int32(exec), tup: tupleRef{comp: int32(comp)}})
 }
 
 // warmFactor returns the transient service inflation for an executor.
@@ -464,15 +435,15 @@ func (s *Sim) transferMS(src, dst int, bytes float64) float64 {
 // is idle, unpaused and has work.
 func (s *Sim) tryStartService(exec int) {
 	e := &s.execs[exec]
-	if e.busy || e.qLen() == 0 || s.now < e.pausedUntil {
+	if e.busy || e.queue.len() == 0 || s.now < e.pausedUntil {
 		return
 	}
-	tup := e.qPop()
+	tup := e.queue.popFront()
 	e.busy = true
 	e.serviceOn = e.machine
 	s.updateBusy(e.machine, +1)
 	dur := s.serviceMS(exec, tup)
-	s.push(event{t: s.now + dur, kind: evFinish, exec: exec, tup: tup})
+	s.push(event{t: s.now + dur, kind: evFinish, exec: int32(exec), tup: tup})
 }
 
 // emitChildren sends downstream tuples after comp processed tup, updating
@@ -486,8 +457,8 @@ func (s *Sim) emitChildren(exec int, tup tupleRef) int {
 	if len(routes) == 0 || comp.Selectivity <= 0 {
 		return 0
 	}
-	ack, ok := s.acks[tup.root]
-	if !ok {
+	ack := s.acks.get(tup.root)
+	if ack == nil {
 		return 0 // orphaned tree: no point fanning out further work
 	}
 	children := 0
@@ -532,13 +503,13 @@ func (s *Sim) sendChild(r *route, task int, tup tupleRef, srcMachine int, bytes 
 	dstExec := r.base + task
 	dstMachine := s.execs[dstExec].machine
 	delay := s.transferMS(srcMachine, dstMachine, bytes)
-	from := -1
+	from := int32(-1)
 	if srcMachine != dstMachine {
 		s.machines[srcMachine].outInFlight++
-		from = srcMachine
+		from = int32(srcMachine)
 	}
 	child := tupleRef{root: tup.root, comp: r.dst, key: tup.key, emitMS: tup.emitMS, crossed: from >= 0}
-	s.push(event{t: s.now + delay, kind: evArrive, exec: dstExec, tup: child, fromMachine: from})
+	s.push(event{t: s.now + delay, kind: evArrive, exec: int32(dstExec), tup: child, fromMachine: from})
 	ack.pending++
 }
 
@@ -572,31 +543,32 @@ func (s *Sim) step() bool {
 	}
 	ev := s.events.pop()
 	s.now = ev.t
+	exec := int(ev.exec)
 	switch ev.kind {
 	case evSpoutEmit:
-		comp := ev.tup.comp
+		comp := int(ev.tup.comp)
 		// When the arrival rate is zero this event is only a rate re-poll;
 		// emit nothing.
 		if s.perExecRate(comp, s.now) > 0 {
 			root := s.nextRoot
 			s.nextRoot++
-			tup := tupleRef{root: root, comp: comp, key: s.rng.Uint64(), emitMS: s.now}
-			s.acks[root] = s.newAck(s.now)
+			tup := tupleRef{root: root, comp: ev.tup.comp, key: s.rng.Uint64(), emitMS: s.now}
+			s.acks.put(root, s.newAck(s.now))
 			if s.ackTimeoutMS > 0 {
 				s.push(event{t: s.now + s.ackTimeoutMS, kind: evAckCheck, exec: ev.exec,
-					tup: tupleRef{root: root, comp: comp}})
+					tup: tupleRef{root: root, comp: ev.tup.comp}})
 			}
-			s.execs[ev.exec].qPush(tup)
-			s.tryStartService(ev.exec)
+			s.execs[ev.exec].queue.pushBack(tup)
+			s.tryStartService(exec)
 		}
-		s.scheduleNextEmit(ev.exec, comp)
+		s.scheduleNextEmit(exec, comp)
 	case evArrive:
 		if ev.fromMachine >= 0 {
 			// The tuple left the network; release the congestion counter.
 			s.machines[ev.fromMachine].outInFlight--
 		}
-		s.execs[ev.exec].qPush(ev.tup)
-		s.tryStartService(ev.exec)
+		s.execs[ev.exec].queue.pushBack(ev.tup)
+		s.tryStartService(exec)
 	case evFinish:
 		e := &s.execs[ev.exec]
 		e.busy = false
@@ -604,11 +576,11 @@ func (s *Sim) step() bool {
 		if s.failedUntil[e.serviceOn] > s.now {
 			// The machine failed mid-service; the result is lost.
 			s.orphanTuple(ev.tup)
-			s.tryStartService(ev.exec)
+			s.tryStartService(exec)
 			break
 		}
-		s.emitChildren(ev.exec, ev.tup)
-		if ack, ok := s.acks[ev.tup.root]; ok {
+		s.emitChildren(exec, ev.tup)
+		if ack := s.acks.get(ev.tup.root); ack != nil {
 			ack.pending--
 			if ack.pending == 0 {
 				if !ack.failed {
@@ -622,15 +594,15 @@ func (s *Sim) step() bool {
 				}
 			}
 		}
-		s.tryStartService(ev.exec)
+		s.tryStartService(exec)
 	case evResume:
-		s.tryStartService(ev.exec)
+		s.tryStartService(exec)
 	case evAckCheck:
-		s.checkAck(ev.tup.root, ev.exec, ev.tup.comp)
+		s.checkAck(ev.tup.root, exec, int(ev.tup.comp))
 	case evFail:
 		// Declaratively scheduled machine failure; ev.exec carries the
 		// machine index and ev.tup.emitMS the outage duration.
-		s.failMachine(ev.exec, ev.tup.emitMS)
+		s.failMachine(exec, ev.tup.emitMS)
 	}
 	return true
 }
@@ -669,7 +641,7 @@ func (s *Sim) Windows() []WindowSample {
 func (s *Sim) Emitted() int64 { return s.nextRoot }
 
 // Outstanding returns the number of root tuples still in flight.
-func (s *Sim) Outstanding() int { return len(s.acks) }
+func (s *Sim) Outstanding() int { return s.acks.live }
 
 // LatencyPercentile returns the p-th percentile (p in [0,100]) of
 // end-to-end tuple latency over a uniform reservoir sample of all

@@ -2,6 +2,7 @@ package tournament
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -47,6 +48,51 @@ func TestGolden2x2(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("matrix diverged from golden file (run with -update if intended)\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
+	}
+}
+
+// TestSmokeAckRegimesMatchCommitted reruns the two regimes that enable
+// ack timeouts (faulty, contended) for the two training-free schedulers
+// with the CI smoke settings and requires each cell to encode exactly as
+// in the committed TOURNAMENT_SMOKE.json. Cells depend only on
+// (scheduler, regime, seed, duration, budget), so a sub-sweep reproduces
+// the full sweep's cells.
+func TestSmokeAckRegimesMatchCommitted(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "TOURNAMENT_SMOKE.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	committed, err := LoadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regimes []Regime
+	for _, r := range DefaultRegimes() {
+		if r.Name == "faulty" || r.Name == "contended" {
+			regimes = append(regimes, r)
+		}
+	}
+	m, err := Run(Options{
+		Seed:        committed.Seed,
+		DurationMS:  committed.DurationMS,
+		TrainBudget: committed.TrainBudget,
+		Schedulers:  []string{"default", "greedy"},
+		Regimes:     regimes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range m.Schedulers {
+		for _, r := range m.Regimes {
+			// A Cell holds only finite numbers and strings, so Marshal
+			// cannot fail.
+			got, _ := json.Marshal(m.Cells[s][r])
+			want, _ := json.Marshal(committed.Cells[s][r])
+			if !bytes.Equal(got, want) {
+				t.Errorf("cell %s×%s diverged from TOURNAMENT_SMOKE.json\ngot:  %s\nwant: %s", s, r, got, want)
+			}
+		}
 	}
 }
 
